@@ -1260,16 +1260,18 @@ pub fn recovery(out: &OutDir) -> std::io::Result<String> {
     Ok(txt)
 }
 
-/// Sync-vs-async numeric engine comparison (`figures -- async`).
+/// Window-1 vs window-4 comparison of the phase-2 engine (`figures --
+/// async`).
 ///
 /// Runs the *real* numeric selected inversion on the mpisim backend per
-/// tree scheme, synchronously (`lookahead = 1`) and with the pipelined
-/// window (`lookahead = 4`), and reports per scheme: wall time, total
-/// late-sender wait summed across ranks, and the overlap high-water mark
-/// (max collectives simultaneously outstanding on any rank). Along the
-/// way it *asserts* the async engine's contract — bit-identical panels,
+/// tree scheme, one supernode at a time (`lookahead = 1`) and with a
+/// pipelined window (`lookahead = 4`), and reports per scheme: wall time,
+/// total late-sender wait summed across ranks, and the overlap high-water
+/// mark (max supernodes simultaneously outstanding on any rank). Along the
+/// way it *asserts* the window's contract — bit-identical panels,
 /// identical per-rank volume counters, and measured bytes equal to the
 /// structural replay — so the benchmark doubles as an acceptance check.
+/// The JSON keeps its `sync_*` / `async_*` keys for window 1 / window 4.
 ///
 /// Emits `BENCH_async.json` (uploaded by the CI `async-smoke` job) plus
 /// `async_overlap.txt`.
@@ -1285,15 +1287,15 @@ pub fn async_overlap(out: &OutDir) -> std::io::Result<String> {
     let grid = Grid2D::new(3, 3);
     const LOOKAHEAD: usize = 4;
     let mut txt = format!(
-        "Sync vs async pipelined engine: {} (n = {}) on a 3x3 grid, lookahead {LOOKAHEAD}\n\n\
+        "Phase-2 engine, window 1 vs window {LOOKAHEAD}: {} (n = {}) on a 3x3 grid\n\n\
          {:<22} {:>12} {:>12} {:>14} {:>14} {:>9}\n",
         w.name,
         w.matrix.nrows(),
         "scheme",
-        "sync ms",
-        "async ms",
-        "sync wait µs",
-        "async wait µs",
+        "w1 ms",
+        "w4 ms",
+        "w1 wait µs",
+        "w4 wait µs",
         "overlap"
     );
     let mut rows: Vec<Json> = Vec::new();
@@ -1365,8 +1367,8 @@ pub fn async_overlap(out: &OutDir) -> std::io::Result<String> {
     let _ = writeln!(
         txt,
         "\n(wait µs = late-sender blocked time summed over ranks; overlap = max\n\
-         collectives simultaneously outstanding on any rank; results asserted\n\
-         bit-identical and volume-identical between the two engines)"
+         supernodes simultaneously outstanding on any rank; results asserted\n\
+         bit-identical and volume-identical between the two windows)"
     );
     let doc = Json::obj([
         ("bench", "async".into()),

@@ -26,9 +26,14 @@
 //! Determinism is inherited unchanged: the multi-query engine reorders
 //! communication, never arithmetic, so every pole's panels are bit-identical
 //! to its standalone [`crate::numeric::distributed_selinv`] run.
+//!
+//! A standalone run *is* a batch of one: every public selected-inversion
+//! entry point, batched or not, goes through this module's one driver.
 
 use crate::layout::Layout;
-use crate::numeric::{assemble, phase1, DistOptions, LocalExec, RankOutput, RankState};
+use crate::numeric::{
+    assemble, check_tag_lanes, phase1, DistOptions, LocalExec, RankOutput, RankState,
+};
 use crate::plan::{CommPlan, SupernodePlan};
 use pselinv_factor::{FactorError, LdlFactor};
 use pselinv_mpisim::{Grid2D, RankCtx, RankVolume};
@@ -44,13 +49,12 @@ use std::sync::Arc;
 /// Options for a batched multi-pole run.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchOptions {
-    /// The per-query distributed options (scheme, seed, threads, runtime).
-    /// `lookahead` is normalized to at least 2 — the batch always runs the
-    /// asynchronous engine, since overlap across poles is its whole point.
+    /// The per-query distributed options (scheme, seed, threads, runtime,
+    /// and the `lookahead` window, read through [`DistOptions::window`]).
     pub dist: DistOptions,
     /// Admission control: at most this many *unfinished* poles race at
-    /// once on each rank (admitted in ascending pole order). `1` degrades
-    /// to poles back-to-back through the async engine; values above the
+    /// once on each rank (admitted in ascending pole order). `1` runs the
+    /// poles back-to-back through the engine; values above the
     /// pole count admit everything immediately. Normalized to at least 1.
     pub max_inflight: usize,
 }
@@ -113,11 +117,7 @@ pub fn try_batched_selinv(
     opts: &BatchOptions,
     run_opts: &pselinv_mpisim::RunOptions,
 ) -> Result<BatchRun, pselinv_mpisim::RunError> {
-    let (layout, plans) = shared_plan(factors, grid, opts);
-    let (rank_results, volumes) = pselinv_mpisim::try_run(grid.size(), run_opts, |ctx| {
-        batch_rank_entry(ctx, factors, &layout, &plans, opts)
-    })?;
-    Ok(finish(factors, &layout, rank_results, volumes))
+    drive(factors, grid, opts, run_opts, None).map(|(run, _)| run)
 }
 
 /// [`batched_selinv`] with tracing enabled: spans and counters carry each
@@ -143,35 +143,56 @@ pub fn try_batched_selinv_traced(
     run_opts: &pselinv_mpisim::RunOptions,
     label: &str,
 ) -> Result<(BatchRun, Trace), pselinv_mpisim::RunError> {
-    let (layout, plans) = shared_plan(factors, grid, opts);
-    let (rank_results, volumes, mut trace) =
-        pselinv_mpisim::try_run_traced(grid.size(), label, run_opts, |ctx| {
-            batch_rank_entry(ctx, factors, &layout, &plans, opts)
-        })?;
-    trace.set_meta("backend", "mpisim");
-    trace.set_meta("grid", format!("{}x{}", grid.pr, grid.pc));
-    trace.set_meta("scheme", opts.dist.scheme.to_string());
-    trace.set_meta("seed", opts.dist.seed.to_string());
-    trace.set_meta("lookahead", opts.dist.lookahead.max(2).to_string());
-    trace.set_meta("queries", factors.len().to_string());
-    trace.set_meta("max_inflight", opts.max_inflight.max(1).to_string());
-    Ok((finish(factors, &layout, rank_results, volumes), trace))
+    drive(factors, grid, opts, run_opts, Some(label))
+        .map(|(run, trace)| (run, trace.expect("a labelled run is traced")))
 }
 
-/// The once-per-batch preprocessing: validates the shared pattern, builds
-/// the layout from the `Arc`d symbolic and precomputes every collective
-/// tree one time for all queries.
-fn shared_plan(
+/// The one driver behind every public selected-inversion entry point: builds
+/// the shared plan, runs one rank entry per grid rank (traced when `label`
+/// is given), and assembles each query's inverse.
+pub(crate) fn drive(
     factors: &[LdlFactor],
     grid: Grid2D,
     opts: &BatchOptions,
+    run_opts: &pselinv_mpisim::RunOptions,
+    label: Option<&str>,
+) -> Result<(BatchRun, Option<Trace>), pselinv_mpisim::RunError> {
+    let (layout, plans) = shared_plan(factors, grid, &opts.dist);
+    let window = opts.dist.window();
+    let max_inflight = opts.max_inflight.max(1);
+    let entry = |ctx: &mut RankCtx| {
+        run_rank(ctx, factors, &layout, &plans, &opts.dist, window, max_inflight)
+    };
+    let (rank_results, volumes, trace) = match label {
+        None => {
+            let (results, volumes) = pselinv_mpisim::try_run(grid.size(), run_opts, entry)?;
+            (results, volumes, None)
+        }
+        Some(label) => {
+            let (results, volumes, mut trace) =
+                pselinv_mpisim::try_run_traced(grid.size(), label, run_opts, entry)?;
+            trace.set_meta("backend", "mpisim");
+            trace.set_meta("grid", format!("{}x{}", grid.pr, grid.pc));
+            trace.set_meta("scheme", opts.dist.scheme.to_string());
+            trace.set_meta("seed", opts.dist.seed.to_string());
+            trace.set_meta("lookahead", window.to_string());
+            trace.set_meta("queries", factors.len().to_string());
+            trace.set_meta("max_inflight", max_inflight.to_string());
+            (results, volumes, Some(trace))
+        }
+    };
+    Ok((finish(factors, &layout, rank_results, volumes), trace))
+}
+
+/// The once-per-run preprocessing: validates the shared pattern and the
+/// tag lanes, builds the layout from the `Arc`d symbolic and precomputes
+/// every collective tree one time for all queries.
+fn shared_plan(
+    factors: &[LdlFactor],
+    grid: Grid2D,
+    opts: &DistOptions,
 ) -> (Layout, Arc<Vec<SupernodePlan>>) {
     assert!(!factors.is_empty(), "a batch needs at least one factor");
-    assert!(
-        factors.len() <= 256,
-        "{} poles overflow the 8-bit query tag lane (split the batch)",
-        factors.len()
-    );
     let sf = &factors[0].symbolic;
     for (q, f) in factors.iter().enumerate() {
         assert!(
@@ -179,8 +200,12 @@ fn shared_plan(
             "factor {q} does not share the batch's symbolic analysis"
         );
     }
+    let max_blocks = sf.blocks_ptr.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+    if let Err(e) = check_tag_lanes(factors.len(), sf.num_supernodes(), max_blocks) {
+        panic!("{e}");
+    }
     let layout = Layout::new(sf.clone(), grid);
-    let builder = TreeBuilder::new(opts.dist.scheme, opts.dist.seed);
+    let builder = TreeBuilder::new(opts.scheme, opts.seed);
     let plans = CommPlan::new(layout.clone(), builder).precompute_all();
     (layout, plans)
 }
@@ -197,16 +222,18 @@ fn classify_pole_tag(tag: u64) -> Option<usize> {
     (1..=6).contains(&phase).then_some(((tag >> 48) & 0xFF) as usize)
 }
 
-/// One rank's batched execution: phase 1 for every pole up front (blocking,
-/// ascending pole order — a restriction of one global order, so
+/// One rank's execution: phase 1 for every query up front (blocking,
+/// ascending query order — a restriction of one global order, so
 /// deadlock-free), then all phase-2 windows concurrently through
 /// [`crate::engine::phase2_multi`] on one shared executor.
-fn batch_rank_entry(
+fn run_rank(
     ctx: &mut RankCtx,
     factors: &[LdlFactor],
     layout: &Layout,
     plans: &[SupernodePlan],
-    opts: &BatchOptions,
+    opts: &DistOptions,
+    window: usize,
+    max_inflight: usize,
 ) -> BatchRankResult {
     ctx.enable_channel_accounting(factors.len(), classify_pole_tag);
     let me = ctx.rank();
@@ -225,19 +252,15 @@ fn batch_rank_entry(
             ainv_diag: HashMap::new(),
         })
         .collect();
-    let exec = LocalExec::new(ctx, &opts.dist);
+    let exec = LocalExec::new(ctx, opts);
+    // Pool spans are stamped relative to pool creation; remember where
+    // that sits on the tracer clock so worker spans align with the
+    // communication spans in the timeline.
     let pool_epoch_us = ctx.tracer().now_us();
     for st in &mut states {
         phase1(ctx, st, plans);
     }
-    crate::engine::phase2_multi(
-        ctx,
-        &mut states,
-        plans,
-        &exec,
-        opts.dist.lookahead.max(2),
-        opts.max_inflight.max(1),
-    );
+    crate::engine::phase2_multi(ctx, &mut states, plans, &exec, window, max_inflight);
     if let LocalExec::Pool(pool) = &exec {
         let stats = pool.stats();
         ctx.tracer().pool_stats(stats.executed(), stats.stolen(), stats.busy_us(), pool.threads());

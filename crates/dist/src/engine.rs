@@ -1,35 +1,30 @@
-//! The asynchronous pipelined phase-2 engine.
+//! The phase-2 engine.
 //!
-//! The synchronous loop in [`crate::numeric`] executes descending
-//! supernodes strictly one at a time with blocking collectives — exactly
-//! the lock-step schedule the paper's tree-based *asynchronous*
-//! communication is designed to beat. This module converts that loop into
-//! an event-driven state machine: each in-flight supernode is a
-//! [`SnTask`] whose stages (transpose exchange, `Col-Bcast`s, local
-//! GEMMs, `Row-Reduce`s, the diagonal reduction, the step-5 `A⁻¹`
-//! transposes) advance independently as their inputs arrive, over the
-//! nonblocking tree collectives of [`pselinv_mpisim::nb`]. A per-rank
-//! progress loop keeps up to `lookahead` supernodes active at once and
-//! blocks on the inbox only when no task can advance.
+//! Each in-flight descending supernode is a [`SnTask`] whose stages
+//! (transpose exchange, `Col-Bcast`s, local GEMMs, `Row-Reduce`s, the
+//! diagonal reduction, the step-5 `A⁻¹` transposes) advance independently
+//! as their inputs arrive, over the nonblocking tree collectives of
+//! [`pselinv_mpisim::nb`]. A per-rank progress loop ([`phase2_multi`])
+//! keeps up to a window of supernodes active at once and blocks on the
+//! inbox only when no task can advance. Window 1 runs supernodes strictly
+//! one at a time; wider windows overlap them.
 //!
 //! # Determinism
 //!
-//! The asynchronous schedule reorders *communication*, never
-//! *arithmetic*:
+//! The window reorders *communication*, never *arithmetic*:
 //!
 //! * every GEMM target block keeps its fixed ascending-ancestor
-//!   accumulation order ([`local_gemms`] is shared with the synchronous
-//!   path);
+//!   accumulation order ([`local_gemms`] and the pool path share
+//!   [`gemm_task_specs`]);
 //! * nonblocking reductions consume child contributions in arrival order
 //!   but park them in per-child slots summed in the tree's fixed child
 //!   order ([`TreeReduceNb`]);
 //! * the diagonal update accumulates its block contributions in block
-//!   order, as before.
+//!   order.
 //!
-//! Results are therefore bit-identical to the synchronous engine at any
-//! window size, and the logical communication volumes (bytes, messages,
-//! physical copies) are unchanged — the same messages travel the same
-//! tree edges, just earlier.
+//! Results are therefore bit-identical at every window size, and the
+//! logical communication volumes (bytes, messages, physical copies) are
+//! unchanged — the same messages travel the same tree edges, just earlier.
 //!
 //! # Deadlock freedom
 //!
@@ -41,15 +36,24 @@
 //! dependencies reach only finished supernodes and `k*` itself, so some
 //! rank can always advance it; induction drains the schedule.
 //!
-//! The multi-query driver ([`phase2_multi`]) extends the argument across
-//! the pole batch: every rank admits queries in ascending query order,
-//! bounded by `max_inflight` *unfinished* admitted queries. Consider the
+//! The multi-query driver extends the argument across the pole batch:
+//! every rank admits queries in ascending query order, bounded by
+//! `max_inflight` *unfinished* admitted queries. Consider the
 //! lowest-indexed globally-unfinished query `q*`: every earlier query is
 //! finished on every rank, so each rank's unfinished-admitted count ignores
 //! them and `q*` is admitted everywhere (admission is ascending). Within
 //! `q*` the single-query argument applies, and [`crate::numeric::tag_q`]'s
 //! query lane keeps its messages from cross-matching with any other
 //! in-flight query.
+//!
+//! # Watchdog edges
+//!
+//! A parked rank reports the first pending receive of its oldest active
+//! task ([`SnTask::pending_edge`]): stages in schedule order, blocks
+//! ascending. Every rank orders its pending receives by the same global
+//! key (query, supernode descending, stage, block), and a message's sender
+//! can only be held up by a receive at or before that key, so a cycle of
+//! reported edges is a real deadlock, never an artifact of the choice.
 
 use crate::numeric::{
     diag_contrib, find_block, gemm_task_specs, local_gemms, pack, share, span_key, tag_q, unpack,
@@ -281,6 +285,32 @@ impl SnTask {
             && matches!(self.dr, Dr::Out | Dr::Done)
             && self.at_recvs.is_empty()
             && self.at_pending.is_empty()
+    }
+
+    /// The first `(src, tag)` receive this task awaits, stages in schedule
+    /// order and blocks ascending; see the module's watchdog-edge note.
+    fn pending_edge(&self) -> Option<(usize, u64)> {
+        let req = |r: &(usize, RecvRequest)| (r.1.src, r.1.tag);
+        self.t_recvs
+            .first()
+            .map(req)
+            .or_else(|| {
+                self.cb.iter().find_map(|c| match c {
+                    Cb::Run(nb) => nb.pending_edge(),
+                    _ => None,
+                })
+            })
+            .or_else(|| {
+                self.rr.iter().find_map(|r| match r {
+                    Rr::Run(nb) => nb.pending_edge(),
+                    _ => None,
+                })
+            })
+            .or_else(|| match &self.dr {
+                Dr::Run(nb) => nb.pending_edge(),
+                _ => None,
+            })
+            .or_else(|| self.at_recvs.first().map(req))
     }
 
     /// Advances every stage as far as its inputs allow; returns whether
@@ -526,8 +556,8 @@ impl SnTask {
     }
 }
 
-/// `A⁻¹_{K,K} = (L D Lᵀ)⁻¹ − Σ`, symmetrized — identical arithmetic to the
-/// synchronous path (contributions were accumulated in block order).
+/// `A⁻¹_{K,K} = (L D Lᵀ)⁻¹ − Σ`, symmetrized (contributions were
+/// accumulated in block order).
 fn finish_diag(st: &mut RankState<'_>, k: usize, w: usize, total: Vec<f64>) {
     let mut diag = ldlt_invert(&st.factor_diag(k));
     let t = Mat::from_vec(w, w, total);
@@ -557,21 +587,6 @@ fn participates(st: &RankState<'_>, sp: &SupernodePlan, k: usize) -> bool {
         || sp.row_reduces.iter().any(|t| t.members().contains(&me))
 }
 
-/// Phase 2 (descending), asynchronous: a sliding window of up to
-/// `lookahead` supernode tasks driven by one progress loop per rank. The
-/// loop polls every active task; when nothing advances and the window
-/// cannot grow, it parks on the inbox (visible to the watchdog) until a
-/// message arrives.
-pub(crate) fn phase2_async(
-    ctx: &mut RankCtx,
-    st: &mut RankState<'_>,
-    plans: &[SupernodePlan],
-    exec: &LocalExec,
-    lookahead: usize,
-) {
-    phase2_multi(ctx, std::slice::from_mut(st), plans, exec, lookahead, 1);
-}
-
 /// One query's descending-supernode window inside [`phase2_multi`].
 struct QueryRun {
     /// Supernodes `next..ns` are activated or skipped for this query.
@@ -585,27 +600,26 @@ impl QueryRun {
     }
 }
 
-/// Phase 2 for a batch of queries sharing one symbolic analysis and one
-/// communication plan: each query runs the asynchronous sliding-window
-/// engine over its own [`RankState`] (whose `qid` namespaces every tag and
-/// span), and one progress loop per rank drives them all — the collectives
-/// of one pole overlap the local GEMMs of another on the same shared pool.
+/// Phase 2 (descending) for one or more queries sharing one symbolic
+/// analysis and one communication plan: each query runs a sliding window
+/// of up to `window` supernode tasks over its own [`RankState`] (whose
+/// `qid` namespaces every tag and span), and one progress loop per rank
+/// drives them all — the collectives of one pole overlap the local GEMMs of
+/// another on the same shared pool. A single query is a batch of one.
 ///
 /// Admission control: queries are admitted in ascending index order, with
 /// at most `max_inflight` *unfinished* admitted queries at a time. Every
 /// rank computes admission from its local completion state, which is a
 /// restriction of the same global order — see the module-level
-/// deadlock-freedom argument.
+/// deadlock-freedom argument. Both bounds must be at least 1.
 pub(crate) fn phase2_multi(
     ctx: &mut RankCtx,
     states: &mut [RankState<'_>],
     plans: &[SupernodePlan],
     exec: &LocalExec,
-    lookahead: usize,
+    window: usize,
     max_inflight: usize,
 ) {
-    debug_assert!(lookahead >= 2, "the synchronous loop handles lookahead <= 1");
-    let max_inflight = max_inflight.max(1);
     let ns = states.first().map_or(0, |st| st.sf.num_supernodes());
     let mut runs: Vec<QueryRun> =
         states.iter().map(|_| QueryRun { next: ns, active: Vec::new() }).collect();
@@ -622,7 +636,7 @@ pub(crate) fn phase2_multi(
         }
         // Grow every admitted query's window in descending supernode order.
         for (st, run) in states[..admitted].iter_mut().zip(&mut runs) {
-            while run.active.len() < lookahead && run.next > 0 {
+            while run.active.len() < window && run.next > 0 {
                 let k = run.next - 1;
                 if participates(st, &plans[k], k) {
                     run.active.push(SnTask::activate(ctx, st, &plans[k], k));
@@ -653,20 +667,11 @@ pub(crate) fn phase2_multi(
                 if !helped {
                     ctx.wait_for_arrival_timeout(Duration::from_micros(200));
                 }
-            } else if ctx.arrivals() != arrivals {
-                // A message was accepted off the inbox mid-pass (a task's
-                // `try_match` drains *all* queued arrivals into the stash
-                // before scanning for its own tag, so the message may
-                // belong to a task polled earlier in this same pass). The
-                // stash never wakes `wait_for_arrival` — parking here
-                // would sleep through locally available work, and if every
-                // rank does so the run deadlocks. Re-poll instead.
             } else {
-                // Nothing moved, no arrival was stashed mid-pass, and every
-                // window is as full as it can get: every pending stage
-                // awaits a message. Park on the inbox so the watchdog sees
-                // a blocked rank, not a hot spin.
-                ctx.wait_for_arrival();
+                // Every pending stage awaits a message. Park on the inbox
+                // so the watchdog sees a blocked rank, not a hot spin.
+                let oldest = runs.iter().find_map(|r| r.active.first());
+                ctx.park(arrivals, oldest.and_then(SnTask::pending_edge).into());
             }
         }
     }

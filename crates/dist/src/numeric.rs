@@ -1,28 +1,29 @@
 //! Numeric distributed selected inversion over the `pselinv-mpisim`
-//! runtime.
+//! runtime: the public single-query entry points, the per-rank state and
+//! the local compute kernels shared by the phases.
 //!
-//! Every rank executes the same deterministic schedule (supernodes in
-//! descending order; within a supernode: transpose sends, `Col-Bcast`s,
-//! local GEMMs, `Row-Reduce`s, the diagonal reduction, and the step-5
-//! `A⁻¹` transposes), restricted to the collectives it participates in.
-//! Sends are buffered and never block, so a schedule that is a restriction
-//! of one global order is deadlock-free. The asynchronous *timing* behaviour
-//! at scale is modeled separately by `pselinv-des`; this module establishes
-//! the numerical correctness of the tree-routed communication.
+//! Phase 1 (ascending) normalizes the panels below each diagonal block,
+//! with the diagonal block broadcast along a tree. Phase 2 (descending) is
+//! the supernode task engine of [`crate::engine`]: transpose sends,
+//! `Col-Bcast`s, local GEMMs, `Row-Reduce`s, the diagonal reduction and the
+//! step-5 `A⁻¹` transposes, in a sliding window of
+//! [`DistOptions::lookahead`] supernodes. A single query runs as a batch of
+//! one through [`crate::batch`]'s driver. The asynchronous *timing*
+//! behaviour at scale is modeled separately by `pselinv-des`; this module
+//! establishes the numerical correctness of the tree-routed communication.
 
 use crate::layout::Layout;
-use crate::plan::{CommPlan, SupernodePlan};
+use crate::plan::SupernodePlan;
 use pselinv_dense::kernels::trsm_right_lower;
-use pselinv_dense::{gemm, ldlt_invert, Mat, Transpose};
+use pselinv_dense::{gemm, Mat, Transpose};
 use pselinv_factor::{LdlFactor, Panel};
-use pselinv_mpisim::collectives::{tree_bcast, tree_reduce};
+use pselinv_mpisim::collectives::tree_bcast;
 use pselinv_mpisim::{Grid2D, Payload, RankCtx, RankVolume};
 use pselinv_order::symbolic::SnBlock;
 use pselinv_order::SymbolicFactor;
 use pselinv_pool::Pool;
 use pselinv_selinv::SelectedInverse;
 use pselinv_trace::{CollKind, Trace};
-use pselinv_trees::TreeBuilder;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -61,14 +62,14 @@ pub struct DistOptions {
     /// `threads > 1`. Defaults to the persistent work-stealing pool;
     /// [`TaskRuntime::ForkJoin`] is kept for benchmarking against it.
     pub runtime: TaskRuntime,
-    /// How many descending supernodes may be in flight at once in phase 2.
-    /// `1` (the default) runs the synchronous engine — supernodes strictly
-    /// one at a time with blocking collectives. `>= 2` runs the
-    /// asynchronous pipelined engine ([`crate::engine`]): nonblocking tree
-    /// collectives driven by a per-rank progress loop, with up to
-    /// `lookahead` supernodes overlapping (use `usize::MAX` for an
-    /// unbounded window). Results stay bit-identical and logical
-    /// communication volumes unchanged at any window size.
+    /// The phase-2 window: how many descending supernodes may be in flight
+    /// at once in the engine ([`crate::engine`]), whose per-rank progress
+    /// loop drives nonblocking tree collectives. `1` (the default) runs
+    /// supernodes strictly one at a time; larger windows overlap them (use
+    /// `usize::MAX` for an unbounded window). `0` means `1` — every
+    /// consumer reads the knob through [`DistOptions::window`]. Results stay
+    /// bit-identical and logical communication volumes unchanged at any
+    /// window size.
     pub lookahead: usize,
 }
 
@@ -87,15 +88,21 @@ impl Default for DistOptions {
 impl DistOptions {
     /// The effective worker-thread count: [`DistOptions::threads`] with
     /// `0` normalized to `1`. This is the single place that normalization
-    /// happens — both engines and the executor constructor call it, so
+    /// happens — the engine and the executor constructor call it, so
     /// `threads: 0` can never reach a `div_ceil(0)` or a zero-worker pool.
     pub fn worker_threads(&self) -> usize {
         self.threads.max(1)
     }
+
+    /// The effective phase-2 window: [`DistOptions::lookahead`] with `0`
+    /// normalized to `1`, the single place that normalization happens.
+    pub fn window(&self) -> usize {
+        self.lookahead.max(1)
+    }
 }
 
-/// One rank's local-compute executor, built once per rank in
-/// [`rank_entry`] and threaded through both phase-2 engines.
+/// One rank's local-compute executor, built once per rank and shared by
+/// every query's phase 2 on that rank.
 pub(crate) enum LocalExec {
     /// Compute inline on the rank thread.
     Serial,
@@ -157,6 +164,28 @@ pub(crate) fn tag_q(qid: u64, phase: u64, k: usize, bi: usize) -> u64 {
     debug_assert!((k as u64) < (1 << 24), "supernode {k} overflows its 24-bit tag lane");
     debug_assert!((bi as u64) < (1 << 24), "block index {bi} overflows its 24-bit tag lane");
     phase | (qid << 48) | ((k as u64) << 24) | bi as u64
+}
+
+/// Checks, once per run and in every build mode, that every tag field fits
+/// the lane [`tag_q`] packs it into: at most 256 queries, and a supernode
+/// count and maximum blocks per supernode below 2²⁴. The error names the
+/// overflowing lane. (`tag_q`'s own checks are debug-only: it runs once per
+/// message.)
+pub(crate) fn check_tag_lanes(
+    queries: usize,
+    supernodes: usize,
+    max_blocks: usize,
+) -> Result<(), String> {
+    const LANE_24: usize = 1 << 24;
+    if queries > 256 {
+        Err(format!("{queries} queries overflow the 8-bit query tag lane (split the batch)"))
+    } else if supernodes >= LANE_24 {
+        Err(format!("{supernodes} supernodes overflow the 24-bit supernode tag lane"))
+    } else if max_blocks >= LANE_24 {
+        Err(format!("{max_blocks} blocks in one supernode overflow the 24-bit block tag lane"))
+    } else {
+        Ok(())
+    }
 }
 
 /// [`tag_q`] for single-query runs (query id 0) — tag values are unchanged
@@ -313,7 +342,7 @@ pub fn distributed_selinv(
 
 /// [`distributed_selinv`] under explicit [`RunOptions`] (watchdog budget,
 /// poll interval, fault injection), surfacing runtime failures instead of
-/// panicking — the entry point for chaos testing the numeric engines.
+/// panicking — the entry point for chaos testing the numeric engine.
 ///
 /// [`RunOptions`]: pselinv_mpisim::RunOptions
 pub fn try_distributed_selinv(
@@ -322,16 +351,7 @@ pub fn try_distributed_selinv(
     opts: &DistOptions,
     run_opts: &pselinv_mpisim::RunOptions,
 ) -> Result<(SelectedInverse, Vec<RankVolume>), pselinv_mpisim::RunError> {
-    let layout = Layout::new(factor.symbolic.clone(), grid);
-    let builder = TreeBuilder::new(opts.scheme, opts.seed);
-    let plans = CommPlan::new(layout.clone(), builder).precompute_all();
-
-    let (outputs, volumes): (Vec<RankOutput>, Vec<RankVolume>) =
-        pselinv_mpisim::try_run(grid.size(), run_opts, |ctx| {
-            rank_entry(ctx, factor, &layout, &plans, opts)
-        })?;
-
-    Ok((assemble(factor, &layout, outputs), volumes))
+    drive_one(factor, grid, opts, run_opts, None).map(|(inv, volumes, _)| (inv, volumes))
 }
 
 /// [`distributed_selinv`] with tracing enabled on every rank: the returned
@@ -362,21 +382,23 @@ pub fn try_distributed_selinv_traced(
     run_opts: &pselinv_mpisim::RunOptions,
     label: &str,
 ) -> Result<(SelectedInverse, Vec<RankVolume>, Trace), pselinv_mpisim::RunError> {
-    let layout = Layout::new(factor.symbolic.clone(), grid);
-    let builder = TreeBuilder::new(opts.scheme, opts.seed);
-    let plans = CommPlan::new(layout.clone(), builder).precompute_all();
+    drive_one(factor, grid, opts, run_opts, Some(label))
+        .map(|(inv, volumes, trace)| (inv, volumes, trace.expect("a labelled run is traced")))
+}
 
-    let (outputs, volumes, mut trace) =
-        pselinv_mpisim::try_run_traced(grid.size(), label, run_opts, |ctx| {
-            rank_entry(ctx, factor, &layout, &plans, opts)
-        })?;
-    trace.set_meta("backend", "mpisim");
-    trace.set_meta("grid", format!("{}x{}", grid.pr, grid.pc));
-    trace.set_meta("scheme", opts.scheme.to_string());
-    trace.set_meta("seed", opts.seed.to_string());
-    trace.set_meta("lookahead", opts.lookahead.to_string());
-
-    Ok((assemble(factor, &layout, outputs), volumes, trace))
+/// A single query is a batch of one, admitted alone.
+fn drive_one(
+    factor: &LdlFactor,
+    grid: Grid2D,
+    opts: &DistOptions,
+    run_opts: &pselinv_mpisim::RunOptions,
+    label: Option<&str>,
+) -> Result<(SelectedInverse, Vec<RankVolume>, Option<Trace>), pselinv_mpisim::RunError> {
+    let batch = crate::batch::BatchOptions { dist: *opts, max_inflight: 1 };
+    let (mut run, trace) =
+        crate::batch::drive(std::slice::from_ref(factor), grid, &batch, run_opts, label)?;
+    let inv = run.inverses.pop().expect("a batch of one yields one inverse");
+    Ok((inv, run.volumes, trace))
 }
 
 /// Assembles the per-rank output pieces into a [`SelectedInverse`].
@@ -409,9 +431,9 @@ pub(crate) fn assemble(
 
 /// The `(target block, participating ancestor blocks)` pairs of supernode
 /// `k`'s local GEMM step on this rank — the single source of truth for
-/// both engines and every executor, so the task set cannot drift between
-/// them. Ancestor lists are ascending: that order is the fixed per-target
-/// accumulation order of the bit-identity contract.
+/// both GEMM paths of the engine and every executor, so the task set
+/// cannot drift between them. Ancestor lists are ascending: that order is
+/// the fixed per-target accumulation order of the bit-identity contract.
 pub(crate) fn gemm_task_specs(st: &RankState<'_>, blocks: &[SnBlock]) -> Vec<(usize, Vec<usize>)> {
     let me = st.me;
     let layout = st.layout;
@@ -524,53 +546,6 @@ pub(crate) fn diag_contrib(
     dcon
 }
 
-/// Entry point of one rank: phase 1 always runs synchronously; phase 2 is
-/// dispatched to the synchronous loop (`lookahead <= 1`) or the
-/// asynchronous pipelined engine (`lookahead >= 2`, [`crate::engine`]).
-pub(crate) fn rank_entry(
-    ctx: &mut RankCtx,
-    factor: &LdlFactor,
-    layout: &Layout,
-    plans: &[SupernodePlan],
-    opts: &DistOptions,
-) -> RankOutput {
-    let mut st = RankState {
-        sf: &factor.symbolic,
-        factor,
-        layout,
-        me: ctx.rank(),
-        qid: 0,
-        lhat: HashMap::new(),
-        ainv_lower: HashMap::new(),
-        ainv_upper: HashMap::new(),
-        ainv_diag: HashMap::new(),
-    };
-    let exec = LocalExec::new(ctx, opts);
-    // Pool spans are stamped relative to pool creation; remember where
-    // that sits on the tracer clock so worker spans align with the
-    // communication spans in the timeline.
-    let pool_epoch_us = ctx.tracer().now_us();
-    phase1(ctx, &mut st, plans);
-    if opts.lookahead <= 1 {
-        phase2_sync(ctx, &mut st, plans, &exec);
-    } else {
-        crate::engine::phase2_async(ctx, &mut st, plans, &exec, opts.lookahead);
-    }
-    if let LocalExec::Pool(pool) = &exec {
-        let stats = pool.stats();
-        ctx.tracer().pool_stats(stats.executed(), stats.stolen(), stats.busy_us(), pool.threads());
-        for (worker, start_us, end_us) in pool.take_spans() {
-            ctx.tracer().span_at(
-                CollKind::Compute,
-                worker as u64,
-                pool_epoch_us + start_us,
-                pool_epoch_us + end_us,
-            );
-        }
-    }
-    (st.ainv_diag, st.ainv_lower)
-}
-
 /// Phase 1 (ascending): normalize panels, L̂ = L_{R,K} L_{K,K}⁻¹.
 pub(crate) fn phase1(ctx: &mut RankCtx, st: &mut RankState<'_>, plans: &[SupernodePlan]) {
     let sf = st.sf;
@@ -623,152 +598,16 @@ pub(crate) fn phase1(ctx: &mut RankCtx, st: &mut RankState<'_>, plans: &[Superno
     }
 }
 
-/// Phase 2 (descending): Algorithm 1, steps 3–5, synchronous schedule —
-/// supernodes strictly one at a time with blocking collectives.
-fn phase2_sync(
-    ctx: &mut RankCtx,
-    st: &mut RankState<'_>,
-    plans: &[SupernodePlan],
-    exec: &LocalExec,
-) {
-    let sf = st.sf;
-    let me = st.me;
-    let layout = st.layout;
-    let ns = sf.num_supernodes();
-    for k in (0..ns).rev() {
-        let sp = &plans[k];
-        let blocks = sf.blocks_of(k);
-        let w = sf.width(k);
-
-        // Step a': transpose sends L̂_{I,K} → Û position (K, I). The L̂
-        // blocks live in shared storage, so the same-rank case and every
-        // send are reference-count bumps on the phase-1 buffer.
-        ctx.tracer().push_scope(CollKind::Transpose, span_key(st.qid, k));
-        let mut ucur: HashMap<usize, Mat> = HashMap::new(); // key: bi
-        for (bi, b) in blocks.iter().enumerate() {
-            let (src, dst) = sp.transposes[bi];
-            let bid = sf.blocks_ptr[k] + bi;
-            if src == dst {
-                if me == src {
-                    ucur.insert(bi, st.lhat[&bid].clone());
-                }
-            } else if me == src {
-                let data = pack(ctx, &st.lhat[&bid]);
-                ctx.send(dst, tag_q(st.qid, PHASE_TRANSPOSE, k, bi), data);
-            } else if me == dst {
-                let data = ctx.recv(src, tag_q(st.qid, PHASE_TRANSPOSE, k, bi));
-                ucur.insert(bi, unpack(b.nrows(), w, data));
-            }
-        }
-        ctx.tracer().pop_scope();
-
-        // Step a: Col-Bcast of Û_{K,I} within pc(I). The root re-shares
-        // the transpose buffer; receivers adopt the broadcast payload.
-        ctx.tracer().push_scope(CollKind::ColBcast, span_key(st.qid, k));
-        for (bi, b) in blocks.iter().enumerate() {
-            let tree = &sp.col_bcasts[bi];
-            if !tree.members().contains(&me) {
-                continue;
-            }
-            let payload = if me == tree.root() { Some(pack(ctx, &ucur[&bi])) } else { None };
-            let data = tree_bcast(ctx, tree, tag_q(st.qid, PHASE_COL_BCAST, k, bi), payload);
-            ucur.entry(bi).or_insert_with(|| unpack(b.nrows(), w, data));
-        }
-        ctx.tracer().pop_scope();
-
-        // Step 1 (local GEMMs): contributions −A⁻¹[RJ,RI]·L̂_{I,K}.
-        let mut contrib = local_gemms(st, &ucur, blocks, k, w, exec);
-
-        // Step b: Row-Reduce each target block onto the owner of A⁻¹_{J,K}.
-        ctx.tracer().push_scope(CollKind::RowReduce, span_key(st.qid, k));
-        for (bj_i, bj) in blocks.iter().enumerate() {
-            let tree = &sp.row_reduces[bj_i];
-            if !tree.members().contains(&me) {
-                continue;
-            }
-            let local = contrib.remove(&bj_i).unwrap_or_else(|| Mat::zeros(bj.nrows(), w));
-            let total =
-                tree_reduce(ctx, tree, tag_q(st.qid, PHASE_ROW_REDUCE, k, bj_i), local.into_vec());
-            if let Some(t) = total {
-                let m = share(ctx, Mat::from_vec(bj.nrows(), w, t));
-                st.ainv_lower.insert(sf.blocks_ptr[k] + bj_i, m);
-            }
-        }
-        ctx.tracer().pop_scope();
-
-        // Steps 2 + c: diagonal contributions L̂ᵀ_{I,K} A⁻¹_{I,K}, reduced
-        // onto the diagonal owner; then A⁻¹_{K,K} = (LDLᵀ)⁻¹ − Σ.
-        let is_diag_owner = layout.diag_owner(k) == me;
-        let in_dreduce = sp.diag_reduce.members().contains(&me);
-        ctx.tracer().push_scope(CollKind::DiagReduce, span_key(st.qid, k));
-        if is_diag_owner || in_dreduce {
-            let owned_bids: Vec<usize> = blocks
-                .iter()
-                .enumerate()
-                .filter(|(_, b)| layout.lower_owner(b, k) == me)
-                .map(|(bi, _)| sf.blocks_ptr[k] + bi)
-                .collect();
-            let dcon = diag_contrib(st, &owned_bids, w, exec);
-            let total = if sp.diag_reduce.is_empty() {
-                Some(dcon.into_vec())
-            } else if in_dreduce {
-                tree_reduce(
-                    ctx,
-                    &sp.diag_reduce,
-                    tag_q(st.qid, PHASE_DIAG_REDUCE, k, 0),
-                    dcon.into_vec(),
-                )
-            } else {
-                None
-            };
-            if is_diag_owner {
-                let mut diag = ldlt_invert(&st.factor_diag(k));
-                let t = Mat::from_vec(w, w, total.expect("diag owner must receive the reduction"));
-                diag.axpy(-1.0, &t);
-                // symmetrize
-                for jl in 0..w {
-                    for il in (jl + 1)..w {
-                        let v = 0.5 * (diag[(il, jl)] + diag[(jl, il)]);
-                        diag[(il, jl)] = v;
-                        diag[(jl, il)] = v;
-                    }
-                }
-                st.ainv_diag.insert(k, diag);
-            }
-        }
-        ctx.tracer().pop_scope();
-
-        // Step 3': A⁻¹ transposes for the upper storage. Like step a',
-        // the blocks are shared, so the same-rank clone and the sends all
-        // alias the Row-Reduce result buffer.
-        ctx.tracer().push_scope(CollKind::AinvTranspose, span_key(st.qid, k));
-        for (bj_i, bj) in blocks.iter().enumerate() {
-            let (src, dst) = sp.ainv_transposes[bj_i];
-            let bid = sf.blocks_ptr[k] + bj_i;
-            if src == dst {
-                if me == src {
-                    let m = st.ainv_lower[&bid].clone();
-                    st.ainv_upper.insert(bid, m);
-                }
-            } else if me == src {
-                let data = pack(ctx, &st.ainv_lower[&bid]);
-                ctx.send(dst, tag_q(st.qid, PHASE_AINV_TRANS, k, bj_i), data);
-            } else if me == dst {
-                let data = ctx.recv(src, tag_q(st.qid, PHASE_AINV_TRANS, k, bj_i));
-                st.ainv_upper.insert(bid, unpack(bj.nrows(), w, data));
-            }
-        }
-        ctx.tracer().pop_scope();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::CommPlan;
     use pselinv_order::{analyze, AnalyzeOptions};
     use pselinv_selinv::selinv_ldlt;
     use pselinv_sparse::gen;
-    use pselinv_trees::TreeScheme;
+    use pselinv_trace::EventKind;
+    use pselinv_trees::{TreeBuilder, TreeScheme};
+    use std::collections::BTreeSet;
     use std::sync::Arc;
 
     fn check_matches_sequential(
@@ -982,6 +821,36 @@ mod tests {
     }
 
     #[test]
+    fn tag_lane_check_names_the_overflowing_lane() {
+        // A hard check in every build mode: `tag_q`'s own guards vanish in
+        // release builds, where an overflow would collide tags silently.
+        const LANE_24: usize = 1 << 24;
+        assert_eq!(check_tag_lanes(256, LANE_24 - 1, LANE_24 - 1), Ok(()));
+        let err = |q, ns, nb| check_tag_lanes(q, ns, nb).expect_err("out of range");
+        assert!(err(257, 1, 1).contains("8-bit query tag lane"));
+        assert!(err(1, LANE_24, 1).contains("24-bit supernode tag lane"));
+        assert!(err(1, 1, LANE_24).contains("24-bit block tag lane"));
+    }
+
+    #[test]
+    #[should_panic(expected = "8-bit query tag lane")]
+    fn shared_plan_rejects_query_lane_overflow() {
+        let w = gen::grid_laplacian_2d(3, 3);
+        let sf = Arc::new(analyze(&w.matrix.pattern(), &AnalyzeOptions::default()));
+        let f = pselinv_factor::factorize(&w.matrix, sf).unwrap();
+        let factors = vec![f; 257];
+        crate::batch::batched_selinv(&factors, Grid2D::new(1, 1), &Default::default());
+    }
+
+    #[test]
+    fn window_normalizes_zero_to_one() {
+        let opts = |lookahead| DistOptions { lookahead, ..Default::default() };
+        assert_eq!(opts(0).window(), 1);
+        assert_eq!(opts(1).window(), 1);
+        assert_eq!(opts(usize::MAX).window(), usize::MAX);
+    }
+
+    #[test]
     fn span_key_namespaces_queries() {
         assert_eq!(span_key(0, 17), 17, "query 0 keeps bare supernode keys");
         assert_ne!(span_key(1, 17), span_key(0, 17));
@@ -1053,11 +922,48 @@ mod tests {
         assert_eq!(trace.meta_str("backend"), Some("mpisim"));
         assert_eq!(trace.meta_str("grid"), Some("2x2"));
         assert_eq!(trace.meta_str("scheme"), Some(opts.scheme.to_string().as_str()));
-        // Every rank recorded spans for each phase of each supernode.
-        let ns = sf.num_supernodes() as u64;
+        // Each rank records a ColBcast span for exactly the supernodes it
+        // activates in phase 2, and a RowReduce span for exactly those where
+        // it belongs to a Row-Reduce tree.
+        let layout = Layout::new(sf.clone(), Grid2D::new(2, 2));
+        let plans = CommPlan::new(layout.clone(), TreeBuilder::new(opts.scheme, opts.seed))
+            .precompute_all();
         for r in &trace.ranks {
-            assert_eq!(r.metrics.kind(CollKind::ColBcast).spans, ns);
-            assert_eq!(r.metrics.kind(CollKind::RowReduce).spans, ns);
+            let me = r.rank;
+            let keys = |kind: CollKind| -> BTreeSet<u64> {
+                r.events
+                    .iter()
+                    .filter_map(|e| match e.kind {
+                        EventKind::Span { coll, key, .. } if coll == kind => Some(key),
+                        _ => None,
+                    })
+                    .collect()
+            };
+            let activated: BTreeSet<u64> = plans
+                .iter()
+                .filter(|sp| {
+                    layout.diag_owner(sp.k) == me
+                        || sp.diag_reduce.members().contains(&me)
+                        || sp
+                            .transposes
+                            .iter()
+                            .chain(&sp.ainv_transposes)
+                            .any(|&(s, d)| s == me || d == me)
+                        || sp
+                            .col_bcasts
+                            .iter()
+                            .chain(&sp.row_reduces)
+                            .any(|t| t.members().contains(&me))
+                })
+                .map(|sp| sp.k as u64)
+                .collect();
+            let reducing: BTreeSet<u64> = plans
+                .iter()
+                .filter(|sp| sp.row_reduces.iter().any(|t| t.members().contains(&me)))
+                .map(|sp| sp.k as u64)
+                .collect();
+            assert_eq!(keys(CollKind::ColBcast), activated, "rank {me} ColBcast keys");
+            assert_eq!(keys(CollKind::RowReduce), reducing, "rank {me} RowReduce keys");
         }
     }
 

@@ -1,12 +1,12 @@
-//! Acceptance tests for the asynchronous pipelined supernode engine
-//! (`lookahead >= 2`).
+//! Acceptance tests for the pipelined supernode engine at windows wider
+//! than one (`lookahead >= 2`).
 //!
-//! The async engine reorders *communication*, never *arithmetic*: for every
-//! grid, tree scheme, lookahead window and benign fault schedule, its result
-//! panels must be bit-identical to the synchronous path and its per-rank
-//! communication volumes (bytes, message counts, copied bytes) must be
-//! exactly equal — the logical communication pattern is unchanged, only the
-//! overlap differs.
+//! The window reorders *communication*, never *arithmetic*: for every grid,
+//! tree scheme, lookahead window and benign fault schedule, the result
+//! panels must be bit-identical to the window-1 run (one supernode at a
+//! time) and the per-rank communication volumes (bytes, message counts,
+//! copied bytes) must be exactly equal — the logical communication pattern
+//! is unchanged, only the overlap differs.
 
 use proptest::prelude::*;
 use pselinv_chaos::{FaultPlan, FaultSpec};
@@ -104,8 +104,8 @@ fn async_volumes_match_structural_replay() {
 #[test]
 fn async_engine_overlaps_collectives() {
     // The whole point of the window: with lookahead > 1 at least one rank
-    // must have had more than one collective outstanding at once, and the
-    // sync path never exceeds one.
+    // must have had more than one supernode outstanding at once, and
+    // window 1 never exceeds one.
     let f = small_factor();
     let grid = Grid2D::new(2, 2);
     let (_, _, sync_trace) =
@@ -115,7 +115,7 @@ fn async_engine_overlaps_collectives() {
     let hwm = |t: &pselinv_trace::Trace| {
         t.ranks.iter().map(|r| r.metrics.outstanding_hwm).max().unwrap_or(0)
     };
-    assert_eq!(hwm(&sync_trace), 0, "sync path never reports outstanding collectives");
+    assert_eq!(hwm(&sync_trace), 1, "window 1 keeps exactly one supernode outstanding");
     let h = hwm(&asyn_trace);
     assert!(h > 1, "lookahead=4 should overlap supernodes, got high-water {h}");
 }

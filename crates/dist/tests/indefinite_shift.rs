@@ -3,10 +3,10 @@
 //! The PEXSI pole expansion evaluates `(H − σI)⁻¹` at complex-plane poles
 //! whose real parts land inside the spectrum: the shifted LDLᵀ has negative
 //! pivots. `tests/pexsi_pole.rs` pins the sequential path; this suite pins
-//! the distributed one — the sync and async engines must agree with the
-//! sequential result and, between themselves, must be *bit-identical* with
-//! exactly equal per-rank volumes (the engines reorder communication, never
-//! arithmetic; sequential-vs-distributed differs only by GEMM summation
+//! the distributed one — window 1 and wider windows of the phase-2 engine
+//! must agree with the sequential result and, between themselves, must be
+//! *bit-identical* with exactly equal per-rank volumes (the window reorders
+//! communication, never arithmetic; sequential-vs-distributed differs only by GEMM summation
 //! order, so that comparison is a tight tolerance).
 
 use pselinv_dist::{distributed_selinv, DistOptions};

@@ -5,7 +5,13 @@
 //! every participant derives the same [`CollectiveTree`] locally (no
 //! communicator creation, no synchronization) and exchanges point-to-point
 //! messages along its edges.
+//!
+//! The blocking calls here run the nonblocking machines of [`crate::nb`]
+//! to completion — start, then poll and [`RankCtx::park`] until done — so
+//! there is one implementation of the tree protocol. This module adds only
+//! the tracing window of a bare collective call.
 
+use crate::nb::{TreeBcastNb, TreeReduceNb};
 use crate::payload::{IntoPayload, Payload};
 use crate::runtime::RankCtx;
 use pselinv_trace::CollKind;
@@ -41,24 +47,16 @@ pub fn tree_bcast<P: IntoPayload>(
 ) -> Payload {
     let me = ctx.rank();
     let pushed = trace_enter(ctx, CollKind::Bcast, tag, tree);
-    let payload = if me == tree.root() {
-        let (payload, copied) =
-            data.expect("root must provide the broadcast payload").into_payload();
-        ctx.account_copy(copied);
-        payload
-    } else {
-        let parent = tree
-            .parent_of(me)
-            .unwrap_or_else(|| panic!("rank {me} is not a participant of this broadcast"));
-        // Sequence-checked edges: injected duplicates and reorderings are
-        // masked, so the collective's result is fault-schedule independent.
-        ctx.recv_seq(parent, tag)
-    };
-    for child in tree.children_of(me) {
-        ctx.send_seq(child, tag, payload.clone());
+    let mut nb = TreeBcastNb::start(ctx, tree, tag, data);
+    loop {
+        let since = ctx.arrivals();
+        if nb.poll(ctx, tree) {
+            break;
+        }
+        ctx.park(since, nb.pending_edge().into());
     }
     ctx.tracer().coll_exit(pushed);
-    payload
+    nb.into_payload().unwrap_or_else(|| panic!("rank {me} is not a participant of this broadcast"))
 }
 
 /// Reduces (element-wise sum) every participant's `local` contribution onto
@@ -73,27 +71,17 @@ pub fn tree_reduce(
     tag: u64,
     local: Vec<f64>,
 ) -> Option<Vec<f64>> {
-    let me = ctx.rank();
     let pushed = trace_enter(ctx, CollKind::Reduce, tag, tree);
-    let mut acc = local;
-    for child in tree.children_of(me) {
-        let contrib = ctx.recv_seq(child, tag);
-        assert_eq!(contrib.len(), acc.len(), "reduction contributions must have equal length");
-        for (a, c) in acc.iter_mut().zip(contrib.iter()) {
-            *a += c;
+    let mut nb = TreeReduceNb::start(ctx, tree, tag, local);
+    loop {
+        let since = ctx.arrivals();
+        if nb.poll(ctx, tree) {
+            break;
         }
+        ctx.park(since, nb.pending_edge().into());
     }
-    let out = if me == tree.root() {
-        Some(acc)
-    } else {
-        let parent = tree
-            .parent_of(me)
-            .unwrap_or_else(|| panic!("rank {me} is not a participant of this reduction"));
-        ctx.send_seq(parent, tag, acc);
-        None
-    };
     ctx.tracer().coll_exit(pushed);
-    out
+    nb.into_result()
 }
 
 #[cfg(test)]

@@ -1,19 +1,21 @@
-//! Nonblocking tree-collective state machines.
+//! Nonblocking tree-collective state machines — the one implementation of
+//! the tree protocol.
 //!
-//! The blocking collectives in [`crate::collectives`] park the rank inside
-//! one broadcast or reduction at a time. These state machines post the
-//! same sequenced tree edges as [`RecvRequest`]s and advance on whatever
-//! arrives first, so a progress engine (PSelInv's asynchronous phase-2
-//! loop) can keep many collectives of many supernodes in flight at once
-//! and drain them in arrival order.
+//! Each machine posts its rank's sequenced tree edges as [`RecvRequest`]s
+//! and advances on whatever arrives first, so a progress engine (PSelInv's
+//! phase-2 loop) can keep many collectives of many supernodes in flight at
+//! once and drain them in arrival order. The blocking collectives in
+//! [`crate::collectives`] are these machines polled to completion.
 //!
-//! Determinism: a nonblocking reduction consumes its children's
-//! contributions in *arrival* order but parks each in a per-child slot;
-//! the slots are summed in the tree's fixed child order, so the floating-
-//! point result is bit-identical to the blocking [`tree_reduce`]
-//! (which receives and accumulates in exactly that child order).
+//! Determinism: a reduction consumes its children's contributions in
+//! *arrival* order but parks each in a per-child slot; the slots are summed
+//! in the tree's fixed child order, so the floating-point result does not
+//! depend on message timing.
 //!
-//! [`tree_reduce`]: crate::collectives::tree_reduce
+//! Each machine names its first still-pending `(src, tag)` edge
+//! ([`TreeBcastNb::pending_edge`], [`TreeReduceNb::pending_edge`]) for the
+//! caller's [`RankCtx::park`], so a stalled rank reports an exact wait-for
+//! edge to the watchdog.
 
 use crate::payload::Payload;
 use crate::requests::RecvRequest;
@@ -69,6 +71,11 @@ impl TreeBcastNb {
         self.req.is_none()
     }
 
+    /// The `(parent, tag)` edge this rank still awaits, if any.
+    pub fn pending_edge(&self) -> Option<(usize, u64)> {
+        self.req.as_ref().map(|r| (r.src, r.tag))
+    }
+
     /// Non-blocking progress. On the arrival of the parent's message the
     /// payload is forwarded to this rank's children (sequenced, zero-copy
     /// `Arc` clones). Returns [`TreeBcastNb::is_done`].
@@ -103,8 +110,7 @@ impl TreeBcastNb {
 /// Contributions are matched in arrival order but parked in per-child
 /// slots; once every slot is filled they are summed in the tree's fixed
 /// child order on top of the local contribution, then forwarded to the
-/// parent (or kept as the result at the root). Bit-identical to the
-/// blocking [`tree_reduce`](crate::collectives::tree_reduce).
+/// parent (or kept as the result at the root).
 #[derive(Debug)]
 pub struct TreeReduceNb {
     tag: u64,
@@ -136,6 +142,12 @@ impl TreeReduceNb {
     /// `true` once this rank's part of the reduction is finished.
     pub fn is_done(&self) -> bool {
         self.done
+    }
+
+    /// The first `(child, tag)` edge, in the tree's fixed child order, whose
+    /// contribution has not arrived yet.
+    pub fn pending_edge(&self) -> Option<(usize, u64)> {
+        self.reqs.iter().flatten().next().map(|r| (r.src, r.tag))
     }
 
     /// Non-blocking progress: matches any child contributions that have
@@ -191,7 +203,6 @@ impl TreeReduceNb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collectives::{tree_bcast, tree_reduce};
     use crate::runtime::run;
     use pselinv_trees::{TreeBuilder, TreeScheme};
 
@@ -205,55 +216,92 @@ mod tests {
     }
 
     #[test]
-    fn nb_bcast_matches_blocking_bcast() {
+    fn nb_bcast_delivers_the_root_payload_with_tree_volumes() {
+        let root_payload = vec![1.5, -2.0, 7.0];
         for scheme in schemes() {
             let receivers: Vec<usize> = (1..9).collect();
             let tree = TreeBuilder::new(scheme, 11).build(0, &receivers, 5);
             let tree = &tree;
+            let root_payload = &root_payload;
             let (results, vols) = run(9, move |ctx| {
-                let data = (ctx.rank() == 0).then(|| vec![1.5, -2.0, 7.0]);
+                let data = (ctx.rank() == 0).then(|| root_payload.clone());
                 let mut nb = TreeBcastNb::start(ctx, tree, 3, data);
-                while !nb.poll(ctx, tree) {
-                    ctx.wait_for_arrival();
+                loop {
+                    let since = ctx.arrivals();
+                    if nb.poll(ctx, tree) {
+                        break;
+                    }
+                    ctx.park(since, nb.pending_edge().into());
                 }
                 nb.into_payload().expect("participant gets the payload").to_vec()
             });
-            let (expect, evols) = run(9, move |ctx| {
-                tree_bcast(ctx, tree, 3, (ctx.rank() == 0).then(|| vec![1.5, -2.0, 7.0])).to_vec()
-            });
-            assert_eq!(results, expect, "{scheme}");
-            assert_eq!(vols, evols, "{scheme} volumes");
+            for (r, got) in results.iter().enumerate() {
+                assert_eq!(got, root_payload, "{scheme} rank {r}");
+            }
+            let bytes = (root_payload.len() * 8) as u64;
+            let mut sent = vec![0u64; 9];
+            pselinv_trees::bcast_sent_volume(tree, bytes, &mut sent);
+            for (r, v) in vols.iter().enumerate() {
+                assert_eq!(v.sent, sent[r], "{scheme} rank {r} sent");
+                let received = if r == 0 { 0 } else { bytes };
+                assert_eq!(v.received, received, "{scheme} rank {r} received");
+            }
         }
     }
 
+    /// The reduction's reference: each rank's local contribution plus its
+    /// children's subtree totals, folded in the tree's fixed child order.
+    fn subtree_total(
+        tree: &CollectiveTree,
+        rank: usize,
+        contrib: &dyn Fn(usize) -> Vec<f64>,
+    ) -> Vec<f64> {
+        let mut acc = contrib(rank);
+        for child in tree.children_of(rank) {
+            for (a, c) in acc.iter_mut().zip(subtree_total(tree, child, contrib)) {
+                *a += c;
+            }
+        }
+        acc
+    }
+
     #[test]
-    fn nb_reduce_is_bit_identical_to_blocking_reduce() {
+    fn nb_reduce_is_bit_identical_to_fixed_order_fold() {
+        // Contributions chosen so summation order matters in floating
+        // point: mixing huge and tiny magnitudes.
+        let contrib = |r: usize| -> Vec<f64> {
+            (0..4).map(|i| (r as f64 + 1.0).powi(18 - i) * 1e-6).collect()
+        };
         for scheme in schemes() {
             let receivers: Vec<usize> = (1..10).collect();
             let tree = TreeBuilder::new(scheme, 3).build(0, &receivers, 9);
             let tree = &tree;
-            // Contributions chosen so summation order matters in floating
-            // point: mixing huge and tiny magnitudes.
-            let contrib = |r: usize| -> Vec<f64> {
-                (0..4).map(|i| (r as f64 + 1.0).powi(18 - i) * 1e-6).collect()
-            };
             let (nbr, nbv) = run(10, move |ctx| {
                 let mut nb = TreeReduceNb::start(ctx, tree, 4, contrib(ctx.rank()));
-                while !nb.poll(ctx, tree) {
-                    ctx.wait_for_arrival();
+                loop {
+                    let since = ctx.arrivals();
+                    if nb.poll(ctx, tree) {
+                        break;
+                    }
+                    ctx.park(since, nb.pending_edge().into());
                 }
                 nb.into_result()
             });
-            let (blr, blv) = run(10, move |ctx| tree_reduce(ctx, tree, 4, contrib(ctx.rank())));
-            let a = nbr[0].as_ref().expect("root result");
-            let b = blr[0].as_ref().expect("root result");
-            let ab: Vec<u64> = a.iter().map(|x| x.to_bits()).collect();
-            let bb: Vec<u64> = b.iter().map(|x| x.to_bits()).collect();
-            assert_eq!(ab, bb, "{scheme}: arrival-order consumption changed the bits");
+            let got: Vec<u64> =
+                nbr[0].as_ref().expect("root result").iter().map(|x| x.to_bits()).collect();
+            let want: Vec<u64> =
+                subtree_total(tree, 0, &contrib).iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, want, "{scheme}: arrival-order consumption changed the bits");
             for r in 1..10 {
                 assert!(nbr[r].is_none());
             }
-            assert_eq!(nbv, blv, "{scheme} volumes");
+            let mut received = vec![0u64; 10];
+            pselinv_trees::reduce_received_volume(tree, 4 * 8, &mut received);
+            for (r, v) in nbv.iter().enumerate() {
+                assert_eq!(v.received, received[r], "{scheme} rank {r} received");
+                let sent = if r == 0 { 0 } else { 4 * 8 };
+                assert_eq!(v.sent, sent, "{scheme} rank {r} sent");
+            }
         }
     }
 
@@ -283,6 +331,7 @@ mod tests {
                 })
                 .collect();
             loop {
+                let since = ctx.arrivals();
                 let mut all = true;
                 for (k, b) in bcasts.iter_mut().enumerate() {
                     all &= b.poll(ctx, &trees[k]);
@@ -293,22 +342,14 @@ mod tests {
                 if all {
                     break;
                 }
-                ctx.wait_for_arrival();
+                let edge = bcasts
+                    .iter()
+                    .find_map(TreeBcastNb::pending_edge)
+                    .or_else(|| reduces.iter().find_map(TreeReduceNb::pending_edge));
+                ctx.park(since, edge.into());
             }
             let bsum: f64 = bcasts.iter().map(|b| b.payload().unwrap()[0]).sum();
-            let rsum: f64 = reduces
-                .iter_mut()
-                .map(|_| 0.0) // placeholder; results taken below at root only
-                .sum::<f64>()
-                + if me == 0 {
-                    let mut s = 0.0;
-                    for r in reduces {
-                        s += r.into_result().unwrap()[0];
-                    }
-                    s
-                } else {
-                    0.0
-                };
+            let rsum: f64 = reduces.into_iter().filter_map(|r| r.into_result()).map(|v| v[0]).sum();
             (bsum, rsum)
         });
         let bcast_expect: f64 = (0..8).map(|k| k as f64).sum();

@@ -83,21 +83,13 @@ pub fn wait_any(ctx: &mut RankCtx, reqs: &mut [RecvRequest]) -> usize {
                 return i;
             }
         }
-        // Testing request j drains the whole inbox into the stash, so a
-        // message for request i < j can land *after* i was tested this
-        // sweep. Parking would lose that wakeup — `wait_for_arrival_as`
-        // only wakes on new inbox traffic, never on the stash — so re-sweep
-        // whenever anything was accepted off the inbox mid-sweep.
-        if ctx.arrivals() != arrivals {
-            continue;
-        }
         // Nothing matched, so every request is still pending. Report the
         // sharpest wait-for edge the set allows: a single awaited source
         // lets the watchdog chase deadlock cycles through this rank.
         let mut srcs = reqs.iter().map(|r| r.src);
         let src = srcs.next().filter(|&s| srcs.all(|o| o == s));
         let tag = if reqs.len() == 1 { Some(reqs[0].tag) } else { None };
-        ctx.wait_for_arrival_as(BlockedOn { src, tag });
+        ctx.park(arrivals, BlockedOn { src, tag });
     }
 }
 

@@ -123,6 +123,13 @@ impl std::fmt::Display for BlockedOn {
     }
 }
 
+impl From<Option<(usize, u64)>> for BlockedOn {
+    /// An exact `(src, tag)` wait-for edge, or a wildcard when there is none.
+    fn from(edge: Option<(usize, u64)>) -> Self {
+        Self { src: edge.map(|e| e.0), tag: edge.map(|e| e.1) }
+    }
+}
+
 /// Structured diagnostic produced by the progress watchdog when a run
 /// globally stalls or deadlocks.
 #[derive(Clone, Debug, Default)]
@@ -450,7 +457,7 @@ pub struct RankCtx {
     /// compare at their park decision ([`RankCtx::arrivals`]): a message
     /// drained into the stash mid-pass — e.g. by [`RankCtx::try_match`]
     /// testing an unrelated `(src, tag)` — bumps the counter but matches no
-    /// request in the rest of that pass, and [`RankCtx::wait_for_arrival`]
+    /// request in the rest of that pass, and [`RankCtx::wait_for_arrival_as`]
     /// only ever wakes on *new* inbox traffic, so parking on a moved
     /// counter would lose the wakeup for good.
     arrivals: u64,
@@ -1346,16 +1353,25 @@ impl RankCtx {
         }
     }
 
-    /// [`RankCtx::wait_for_arrival_as`] with a wildcard blocked-on report.
-    pub fn wait_for_arrival(&mut self) {
-        self.wait_for_arrival_as(BlockedOn { src: None, tag: None });
+    /// The park of every progress loop built on [`RankCtx::try_match`]:
+    /// blocks in [`RankCtx::wait_for_arrival_as`] reporting `on` — unless a
+    /// message was accepted off the inbox since `since`, the
+    /// [`RankCtx::arrivals`] snapshot taken before the caller's poll sweep.
+    /// Then it returns at once so the caller re-polls: that message was
+    /// drained into the stash mid-sweep, possibly after the request it
+    /// matches was tested, and the stash never wakes the inbox wait.
+    pub fn park(&mut self, since: u64, on: BlockedOn) {
+        if self.arrivals == since {
+            self.wait_for_arrival_as(on);
+        }
     }
 
-    /// Bounded [`RankCtx::wait_for_arrival`]: parks until a new message is
-    /// stashed or `timeout` elapses, whichever comes first; returns whether
-    /// a message arrived. The async engine calls this while intra-rank pool
-    /// batches are in flight — the rank must wake promptly for *either* a
-    /// message or batch completion, so it cannot block on the inbox alone.
+    /// Bounded [`RankCtx::wait_for_arrival_as`] with a wildcard report:
+    /// parks until a new message is stashed or `timeout` elapses, whichever
+    /// comes first; returns whether a message arrived. The phase-2 engine
+    /// calls this while intra-rank pool batches are in flight — the rank
+    /// must wake promptly for *either* a message or batch completion, so it
+    /// cannot block on the inbox alone.
     pub fn wait_for_arrival_timeout(&mut self, timeout: Duration) -> bool {
         self.chaos_op();
         self.flush_held();
@@ -1398,13 +1414,14 @@ impl RankCtx {
     /// inbox (whether consumed on the spot or parked in the stash).
     ///
     /// This is the park guard for every progress loop built on
-    /// [`RankCtx::try_match`] + [`RankCtx::wait_for_arrival`]: `try_match`
+    /// [`RankCtx::try_match`] + [`RankCtx::wait_for_arrival_as`]: `try_match`
     /// drains the *entire* inbox into the stash before scanning for its own
     /// `(src, tag)`, so testing one request can stash a message that an
     /// earlier-tested request wanted. The pass then ends "without
-    /// progress", and `wait_for_arrival` blocks on *new* inbox traffic
+    /// progress", and `wait_for_arrival_as` blocks on *new* inbox traffic
     /// only — the stashed message can never wake it. Snapshot this counter
-    /// before the test sweep and re-poll instead of parking when it moved.
+    /// before the test sweep and hand it to [`RankCtx::park`], which
+    /// re-polls instead of parking when it moved.
     pub fn arrivals(&self) -> u64 {
         self.arrivals
     }

@@ -3,7 +3,7 @@
 //! and injected crashes/stalls surface as typed errors.
 
 use pselinv_chaos::{FaultPlan, FaultSpec};
-use pselinv_mpisim::collectives::tree_reduce;
+use pselinv_mpisim::collectives::{tree_bcast, tree_reduce};
 use pselinv_mpisim::{try_run, RunError, RunOptions};
 use pselinv_trees::{TreeBuilder, TreeScheme};
 use std::time::{Duration, Instant};
@@ -89,6 +89,31 @@ fn rank_panic_unwinds_siblings_with_original_message() {
     };
     assert_eq!(rank, 2);
     assert!(message.contains("numerical factorization failed on rank 2"), "{message}");
+}
+
+#[test]
+fn silent_bcast_root_leaves_every_receiver_blocked_on_its_parent() {
+    // The broadcast root never calls: each receiver must report the exact
+    // tree edge it awaits — its parent and the collective's tag — so the
+    // diagnostic points at the missing sender, not at a wildcard wait.
+    let receivers: Vec<usize> = (1..6).collect();
+    let tree = TreeBuilder::new(TreeScheme::Binary, 0).build(0, &receivers, 0);
+    let tree = &tree;
+    let err = try_run(6, &short_watchdog(), move |ctx| {
+        if ctx.rank() != 0 {
+            tree_bcast(ctx, tree, 42, None::<Vec<f64>>);
+        }
+    })
+    .expect_err("a broadcast without its root must stall");
+    let RunError::Stalled(diag) = err else {
+        panic!("expected a stall diagnostic, got: {err}");
+    };
+    let text = diag.to_string();
+    for &r in &receivers {
+        let parent = tree.parent_of(r).expect("receiver has a parent");
+        let edge = format!("rank {r} blocked on recv(src={parent}, tag=42)");
+        assert!(text.contains(&edge), "missing {edge:?} in:\n{text}");
+    }
 }
 
 #[test]

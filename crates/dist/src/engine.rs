@@ -62,11 +62,11 @@ use crate::numeric::{
 };
 use crate::plan::SupernodePlan;
 use pselinv_dense::{gemm, ldlt_invert, Mat, Transpose};
-use pselinv_mpisim::{Payload, RankCtx, RecvRequest, TreeBcastNb, TreeReduceNb};
+use pselinv_mpisim::{BlockedOn, Payload, RankCtx, RecvRequest, TreeBcastNb, TreeReduceNb};
 use pselinv_pool::Batch;
 use pselinv_trace::CollKind;
 use std::collections::HashMap;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Ancestor data a supernode's GEMM stage reads from [`RankState`], i.e.
 /// an output of an earlier (higher-indexed) supernode's task on this rank.
@@ -408,7 +408,7 @@ impl SnTask {
                             let inputs: Vec<(Mat, Mat)> = bi_list
                                 .into_iter()
                                 .map(|bi_i| {
-                                    (st.gather_sub(k, bj, &blocks[bi_i]), self.ucur[&bi_i].clone())
+                                    (st.gather_sub(bj, &blocks[bi_i]), self.ucur[&bi_i].clone())
                                 })
                                 .collect();
                             Box::new(move || {
@@ -424,7 +424,7 @@ impl SnTask {
                     self.gemm_batch = Some(pool.submit(tasks));
                 }
                 _ => {
-                    self.contrib = local_gemms(st, &self.ucur, blocks, k, w, exec);
+                    self.contrib = local_gemms(st, &self.ucur, blocks, w, exec);
                     self.gemm_done = true;
                 }
             }
@@ -662,10 +662,13 @@ pub(crate) fn phase2_multi(
                 // A GEMM batch is on the workers. Help execute queued
                 // tasks; when the queues are dry (workers own the tail),
                 // take a *bounded* park so the rank wakes promptly for
-                // either a message or batch completion.
+                // either a message or batch completion. The report stays a
+                // wildcard: the rank also waits on its pool, so it must not
+                // expose a wait-for edge.
                 let helped = exec.pool().is_some_and(pselinv_pool::Pool::help_one);
                 if !helped {
-                    ctx.wait_for_arrival_timeout(Duration::from_micros(200));
+                    let deadline = Instant::now() + Duration::from_micros(200);
+                    ctx.park_until(arrivals, BlockedOn { src: None, tag: None }, deadline);
                 }
             } else {
                 // Every pending stage awaits a message. Park on the inbox

@@ -7,12 +7,19 @@
 //! * buffered non-blocking sends ([`RankCtx::send`] ≈ `MPI_Isend` with the
 //!   buffer handed off — the call never blocks);
 //! * blocking tagged receives with out-of-order matching
-//!   ([`RankCtx::recv`] ≈ `MPI_Recv` on `(source, tag)`);
-//! * wildcard receives ([`RankCtx::recv_any`] ≈ `MPI_Recv` on
-//!   `MPI_ANY_SOURCE`/`MPI_ANY_TAG`) and non-blocking probes
-//!   ([`RankCtx::try_recv_any`] ≈ `MPI_Iprobe` + receive);
+//!   ([`RankCtx::recv`] ≈ `MPI_Recv` on `(source, tag)`) and their
+//!   non-blocking test ([`RankCtx::try_match`] ≈ `MPI_Iprobe` + receive);
+//! * a progress-loop park ([`RankCtx::park`]) that blocks until a new
+//!   message arrives, reporting what the rank awaits to the watchdog;
 //! * per-rank send/receive byte counters, the measurement behind the
 //!   paper's communication-volume tables.
+//!
+//! Every receive goes through one matcher and one blocking point. The
+//! matcher scans the out-of-order stash first and pulls the inbox one
+//! message at a time only when nothing there matches, stopping at the
+//! first hit; it also owns sequence order, duplicate suppression and
+//! receive accounting. The only blocking inbox read stashes one new
+//! arrival for the next match.
 //!
 //! [`collectives`] layers the paper's tree-routed restricted collectives on
 //! top of these point-to-point primitives, and [`grid`] provides the 2-D

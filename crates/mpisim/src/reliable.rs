@@ -20,7 +20,7 @@
 //!   `TreeBuilder::rebuild_excluding`, re-home their orphaned edges via
 //!   JOIN requests on a dedicated tag lane, and consume the re-issued
 //!   payload under a bumped epoch — in-flight pre-crash traffic on a
-//!   re-homed edge is discarded with its accounting reversed. Only
+//!   re-homed edge is discarded before it is accounted. Only
 //!   collectives whose payload *source* died are irreparable; they are
 //!   reported as stranded instead of hanging the run.
 

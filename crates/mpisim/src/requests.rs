@@ -70,10 +70,9 @@ impl RecvRequest {
 ///
 /// When no request can be satisfied, this *blocks on the inbox* until a
 /// new message arrives (reporting what it awaits to the watchdog) instead
-/// of popping the stash: taking a stashed message the request set rejects
-/// and re-fronting it would spin at 100% CPU without ever registering as
-/// blocked, making an all-ranks-in-`wait_any` deadlock invisible to the
-/// watchdog and flooding the trace with receive/undo event pairs.
+/// of re-testing the stash: spinning over stashed messages the request set
+/// rejects would burn 100% CPU without ever registering as blocked, making
+/// an all-ranks-in-`wait_any` deadlock invisible to the watchdog.
 pub fn wait_any(ctx: &mut RankCtx, reqs: &mut [RecvRequest]) -> usize {
     assert!(!reqs.is_empty(), "wait_any on an empty request set");
     loop {

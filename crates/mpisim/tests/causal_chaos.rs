@@ -9,7 +9,7 @@
 //!   consumed in send order — send indices and matched send clocks are
 //!   strictly increasing in consumption order;
 //! * every consumed `(sender, idx)` pair is consumed exactly once
-//!   (duplicate deliveries are masked, and their accounting undone).
+//!   (duplicate deliveries are masked before they are accounted).
 
 use proptest::prelude::*;
 use pselinv_chaos::{FaultPlan, FaultSpec};

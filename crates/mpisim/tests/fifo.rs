@@ -1,15 +1,14 @@
 //! Property test for MPI non-overtaking semantics: messages with the same
 //! `(source, tag)` must be delivered in send order, no matter how the
-//! receiver interleaves wildcard receives, tag probes and un-receives
-//! (`stash_back`).
+//! receiver interleaves blocking receives, tag probes and `wait_any` over
+//! every tag it is still owed.
 //!
-//! The seed runtime popped its out-of-order stash LIFO (`Vec::pop`) and
-//! spliced tag matches with `swap_remove`; both break this property. The
-//! deterministic regression lives in `runtime.rs`; this test explores the
-//! interleaving space.
+//! A LIFO stash (`Vec::pop`) or tag matches spliced with `swap_remove`
+//! break this property. The deterministic regressions live in
+//! `runtime.rs`; this test explores the interleaving space.
 
 use proptest::prelude::*;
-use pselinv_mpisim::run;
+use pselinv_mpisim::{run, wait_any, RecvRequest};
 use std::collections::BTreeMap;
 
 proptest! {
@@ -18,7 +17,7 @@ proptest! {
     fn per_source_tag_delivery_is_fifo(
         n_msgs in 4usize..24,
         n_tags in 1u64..4,
-        ops in proptest::collection::vec(0usize..4, 16..48),
+        ops in proptest::collection::vec(0usize..3, 16..48),
     ) {
         let ops = &ops;
         let (results, _) = run(2, move |ctx| {
@@ -30,6 +29,10 @@ proptest! {
                 }
                 Ok(())
             } else {
+                // Messages still owed per tag, so no receive blocks forever.
+                let mut left: Vec<usize> = (0..n_tags)
+                    .map(|t| (0..n_msgs).filter(|&i| i as u64 % n_tags == t).count())
+                    .collect();
                 // seq numbers observed so far, per tag
                 let mut seen: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
                 let mut got = 0usize;
@@ -37,32 +40,30 @@ proptest! {
                 while got < n_msgs {
                     let op = ops[op_i % ops.len()];
                     op_i += 1;
-                    match op {
-                        0 => {
-                            let m = ctx.recv_any();
-                            seen.entry(m.tag).or_default().push(m.data[0] as u64);
-                            got += 1;
-                        }
-                        1 => {
-                            if let Some(m) = ctx.try_recv_any() {
-                                seen.entry(m.tag).or_default().push(m.data[0] as u64);
-                                got += 1;
-                            }
-                        }
-                        2 => {
-                            // Peek and un-receive: must not reorder anything.
-                            let m = ctx.recv_any();
-                            ctx.stash_back(m);
-                        }
+                    // First owed tag from a rotating start.
+                    let tag = (0..n_tags)
+                        .map(|d| (op_i as u64 + d) % n_tags)
+                        .find(|&t| left[t as usize] > 0)
+                        .unwrap();
+                    let delivered = match op {
+                        0 => Some((tag, ctx.recv(0, tag))),
+                        // Tag-targeted probe; may pull a message out of the
+                        // middle of the stash.
+                        1 => ctx.try_match(0, tag).map(|d| (tag, d)),
                         _ => {
-                            // Tag-targeted probe; pulls a message out of the
-                            // middle of the stash.
-                            let tag = op_i as u64 % n_tags;
-                            if let Some(d) = ctx.try_match(0, tag) {
-                                seen.entry(tag).or_default().push(d[0] as u64);
-                                got += 1;
-                            }
+                            let mut reqs: Vec<RecvRequest> = (0..n_tags)
+                                .filter(|&t| left[t as usize] > 0)
+                                .map(|t| RecvRequest::post(0, t))
+                                .collect();
+                            let i = wait_any(ctx, &mut reqs);
+                            let r = reqs.swap_remove(i);
+                            Some((r.tag, r.take().expect("wait_any returns a completed request")))
                         }
+                    };
+                    if let Some((tag, d)) = delivered {
+                        left[tag as usize] -= 1;
+                        seen.entry(tag).or_default().push(d[0] as u64);
+                        got += 1;
                     }
                 }
                 // Within each (src=0, tag) stream, sequence numbers must be

@@ -7,8 +7,7 @@
 //!   bit-identical to the fault-free run and the *logical* volume counters
 //!   are exactly the fault-free ones, with all recovery traffic isolated
 //!   in `RankVolume::retransmitted`;
-//! * stale-epoch traffic on a re-homed edge is discarded with its
-//!   accounting reversed;
+//! * stale-epoch traffic on a re-homed edge is discarded unaccounted;
 //! * with recovery on, rank deaths are absorbed: survivors re-home onto a
 //!   `rebuild_excluding` tree and still deliver, and only dead-root
 //!   collectives are reported stranded.
@@ -112,8 +111,8 @@ proptest! {
     }
 }
 
-/// Stale-epoch traffic on an edge the receiver re-homed is discarded with
-/// its accounting reversed: the receiver's logical volume counts only the
+/// Stale-epoch traffic on an edge the receiver re-homed is discarded
+/// unaccounted: the receiver's logical volume counts only the
 /// surviving bumped-epoch message, yet the edge's sequence slot advances
 /// so the re-issue is consumed normally.
 #[test]

@@ -84,7 +84,7 @@ proptest! {
     /// Loss composed with duplication and reordering, observed through the
     /// nonblocking request path. The `wait_any` polling loop must keep the
     /// sender's retransmission timers ticking (a `RecvRequest` never
-    /// blocks in `recv_msg_timeout`, so the tick has to run from the
+    /// blocks in a receive call, so the tick has to run from the
     /// nonblocking entry points), or a dropped message wedges the run.
     #[test]
     fn requests_mask_loss_composed_with_dup_and_reorder(
